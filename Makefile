@@ -19,7 +19,7 @@ vet:
 # the resilience layer (retry/breaker/hedge and their fake clock) are all
 # written for concurrent use; keep them honest under the race detector,
 # along with the pipeline and workers that call them. The tsdb is included
-# for its zero-copy QueryView snapshots, which concurrent appends must
+# for its zero-copy QueryViewStamped snapshots, which concurrent appends must
 # never disturb.
 race:
 	$(GO) test -race ./internal/obs/... ./internal/distributed/... ./internal/core/... ./internal/resilience/... ./internal/tsdb/... ./internal/wal/... ./internal/evalharness/... ./internal/controlplane/...

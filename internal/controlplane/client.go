@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"strconv"
 	"strings"
 	"time"
 
@@ -115,9 +114,9 @@ func (c *Client) GetOperation(ctx context.Context, location string) (op *Operati
 	if err := json.NewDecoder(resp.Body).Decode(op); err != nil {
 		return nil, 0, err
 	}
-	retryAfter = time.Second
-	if sec, err := strconv.Atoi(resp.Header.Get("Retry-After")); err == nil && sec > 0 {
-		retryAfter = time.Duration(sec) * time.Second
+	retryAfter, ok := resilience.ParseRetryAfter(resp.Header)
+	if !ok {
+		retryAfter = time.Second
 	}
 	return op, retryAfter, nil
 }

@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"fbdetect/internal/distributed"
 	"fbdetect/internal/obs"
 	"fbdetect/internal/resilience"
 	"fbdetect/internal/tsdb"
@@ -291,11 +292,12 @@ func TestOperationValidation(t *testing.T) {
 	if rr.Code != http.StatusBadRequest {
 		t.Errorf("bad json = %d, want 400", rr.Code)
 	}
-	// A rebalance without a ring fails terminally, not silently.
+	// A sweep of a service the tenant never wrote fails terminally, not
+	// silently.
 	srv := httptest.NewServer(s.Handler())
 	defer srv.Close()
 	cli := &Client{Base: srv.URL, Key: tn.Key}
-	_, loc, err := cli.SubmitOperation(context.Background(), OpKindRebalance, nil)
+	_, loc, err := cli.SubmitOperation(context.Background(), OpKindSweep, sweepParams{Service: "never-written"})
 	if err != nil {
 		t.Fatalf("SubmitOperation: %v", err)
 	}
@@ -303,7 +305,10 @@ func TestOperationValidation(t *testing.T) {
 	defer cancel()
 	done, err := cli.WaitOperation(ctx, loc)
 	if done == nil || done.Status != OpFailed {
-		t.Fatalf("ringless rebalance: op %+v err %v, want failed terminal state", done, err)
+		t.Fatalf("unknown-service sweep: op %+v err %v, want failed terminal state", done, err)
+	}
+	if !strings.Contains(done.Error, distributed.ErrUnknownService.Error()) {
+		t.Errorf("op error = %q, want it to carry %q", done.Error, distributed.ErrUnknownService)
 	}
 	if !resilience.IsPermanent(err) {
 		t.Errorf("failed op error should be Permanent, got %v", err)
@@ -469,60 +474,6 @@ func TestAdminAPI(t *testing.T) {
 	rr = doJSON(s, "GET", "/admin/tenants", testAdminKey, "")
 	if rr.Code != http.StatusOK || strings.Contains(rr.Body.String(), tn.Key) {
 		t.Errorf("tenant list = %d %s: must not leak keys", rr.Code, rr.Body)
-	}
-
-	// Without a ring the worker admin surface 503s.
-	if rr := doJSON(s, "GET", "/admin/workers", testAdminKey, ""); rr.Code != http.StatusServiceUnavailable {
-		t.Errorf("ringless workers list = %d, want 503", rr.Code)
-	}
-}
-
-func TestAdminWorkerRing(t *testing.T) {
-	worker := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		w.WriteHeader(http.StatusOK)
-	}))
-	defer worker.Close()
-
-	s, _ := newTestServer(t, func(o *Options) {
-		o.WorkerURLs = []string{worker.URL}
-	})
-	rr := doJSON(s, "GET", "/admin/workers", testAdminKey, "")
-	if rr.Code != http.StatusOK || !strings.Contains(rr.Body.String(), worker.URL) {
-		t.Fatalf("workers list = %d %s", rr.Code, rr.Body)
-	}
-
-	add := fmt.Sprintf(`{"url":%q}`, worker.URL+"/second")
-	if rr := doJSON(s, "POST", "/admin/workers", testAdminKey, add); rr.Code != http.StatusCreated {
-		t.Fatalf("add worker = %d: %s", rr.Code, rr.Body)
-	}
-	if rr := doJSON(s, "POST", "/admin/workers/drain", testAdminKey, add); rr.Code != http.StatusOK {
-		t.Fatalf("drain worker = %d: %s", rr.Code, rr.Body)
-	}
-	var statuses []struct {
-		URL      string `json:"url"`
-		Draining bool   `json:"draining"`
-	}
-	rr = doJSON(s, "GET", "/admin/workers", testAdminKey, "")
-	if err := json.Unmarshal(rr.Body.Bytes(), &statuses); err != nil {
-		t.Fatal(err)
-	}
-	found := false
-	for _, st := range statuses {
-		if st.URL == worker.URL+"/second" {
-			found = true
-			if !st.Draining {
-				t.Error("drained worker not marked draining")
-			}
-		}
-	}
-	if !found {
-		t.Fatalf("added worker missing from %s", rr.Body)
-	}
-	if rr := doJSON(s, "POST", "/admin/workers/remove", testAdminKey, add); rr.Code != http.StatusOK {
-		t.Fatalf("remove worker = %d: %s", rr.Code, rr.Body)
-	}
-	if got := s.reg.NewCounter(MetricAdminRingChanges, "", obs.Labels{"action": "add"}).Value(); got != 1 {
-		t.Errorf("ring add counter = %v, want 1", got)
 	}
 }
 

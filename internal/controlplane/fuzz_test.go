@@ -56,9 +56,6 @@ var fuzzRoutes = []struct{ method, path string }{
 	{"GET", "/operations/op-00000000"},
 	{"POST", "/admin/tenants"},
 	{"GET", "/admin/tenants"},
-	{"GET", "/admin/workers"},
-	{"POST", "/admin/workers"},
-	{"POST", "/admin/workers/drain"},
 }
 
 // FuzzAPIRequest throws arbitrary auth headers and request bodies at the
@@ -71,7 +68,7 @@ func FuzzAPIRequest(f *testing.F) {
 	f.Add(uint8(3), uint8(2), "x", `{"kind":"sweep","params":{"service":"web"}}`)
 	f.Add(uint8(2), uint8(1), "Bearer ", `{"service":"web","scan_time":"2026-08-08T12:00:00Z"}`)
 	f.Add(uint8(6), uint8(3), "junk", `{"name":"t","quotas":{"max_series":-1}}`)
-	f.Add(uint8(10), uint8(3), "Basic Zm9v", `{"url":"http://w1","drain":true}`)
+	f.Add(uint8(6), uint8(0), "Basic Zm9v", `{"url":"http://w1","drain":true}`)
 	f.Add(uint8(0), uint8(2), "Bearer \x00\xff", "not json at all\n\n{{{")
 
 	f.Fuzz(func(t *testing.T, routeSel, authSel uint8, authRaw, body string) {

@@ -8,12 +8,12 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"strconv"
 	"strings"
 	"time"
 
 	"fbdetect/internal/distributed"
 	"fbdetect/internal/obs"
+	"fbdetect/internal/resilience"
 )
 
 // ctxKey keys the authenticated tenant in the request context.
@@ -80,7 +80,7 @@ func (s *Server) rateLimit(next http.Handler) http.Handler {
 				s.reg.NewCounter(MetricRateLimited,
 					"Requests rejected by the per-tenant rate limit.",
 					obs.Labels{"tenant": st.ID}).Inc()
-				w.Header().Set("Retry-After", retryAfterSeconds(retryAfter))
+				w.Header().Set("Retry-After", resilience.FormatRetryAfter(retryAfter))
 				http.Error(w, "tenant rate limit exceeded", http.StatusTooManyRequests)
 				return
 			}
@@ -99,16 +99,6 @@ func (s *Server) authAdmin(next http.HandlerFunc) http.Handler {
 		}
 		next.ServeHTTP(w, r)
 	})
-}
-
-// retryAfterSeconds renders d as a whole-second Retry-After value,
-// rounding up so the hint never understates the wait.
-func retryAfterSeconds(d time.Duration) string {
-	sec := int((d + time.Second - 1) / time.Second)
-	if sec < 1 {
-		sec = 1
-	}
-	return strconv.Itoa(sec)
 }
 
 // buildMux wires the full serving surface. Every route passes through
@@ -139,10 +129,6 @@ func (s *Server) buildMux() {
 	// Admin plane.
 	wire("POST /admin/tenants", s.authAdmin(s.serveRegisterTenant))
 	wire("GET /admin/tenants", s.authAdmin(s.serveListTenants))
-	wire("GET /admin/workers", s.authAdmin(s.serveListWorkers))
-	wire("POST /admin/workers", s.authAdmin(s.serveAddWorker))
-	wire("POST /admin/workers/drain", s.authAdmin(s.serveDrainWorker))
-	wire("POST /admin/workers/remove", s.authAdmin(s.serveRemoveWorker))
 
 	// Observability, unauthenticated like every worker's.
 	obs.RegisterDebug(mux, s.reg, s.tracer)
@@ -252,7 +238,7 @@ func (s *Server) serveCreateOperation(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		w.Header().Set("Location", "/operations/"+op.ID)
-		w.Header().Set("Retry-After", retryAfterSeconds(s.opts.PollRetryAfter))
+		w.Header().Set("Retry-After", resilience.FormatRetryAfter(s.opts.PollRetryAfter))
 		w.Header().Set("Content-Type", "application/json")
 		w.WriteHeader(http.StatusAccepted)
 		json.NewEncoder(w).Encode(op)
@@ -270,7 +256,7 @@ func (s *Server) serveGetOperation(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if !op.Status.Terminal() {
-		w.Header().Set("Retry-After", retryAfterSeconds(s.opts.PollRetryAfter))
+		w.Header().Set("Retry-After", resilience.FormatRetryAfter(s.opts.PollRetryAfter))
 	}
 	w.Header().Set("Content-Type", "application/json")
 	json.NewEncoder(w).Encode(op)
@@ -316,108 +302,4 @@ func (s *Server) serveRegisterTenant(w http.ResponseWriter, r *http.Request) {
 func (s *Server) serveListTenants(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "application/json")
 	json.NewEncoder(w).Encode(s.tenants.List())
-}
-
-// ringRequest is the admin worker-mutation body.
-type ringRequest struct {
-	URL   string `json:"url"`
-	Drain *bool  `json:"drain,omitempty"`
-}
-
-// requireRing 503s admin ring calls when no coordinator is configured.
-func (s *Server) requireRing(w http.ResponseWriter) bool {
-	if s.coord == nil {
-		http.Error(w, "no worker ring configured (start the server with -workers)",
-			http.StatusServiceUnavailable)
-		return false
-	}
-	return true
-}
-
-// decodeRing parses a ring-mutation body.
-func decodeRing(w http.ResponseWriter, r *http.Request) (ringRequest, bool) {
-	var body ringRequest
-	if err := json.NewDecoder(io.LimitReader(r.Body, 64<<10)).Decode(&body); err != nil {
-		http.Error(w, "bad request: "+err.Error(), http.StatusBadRequest)
-		return body, false
-	}
-	if body.URL == "" {
-		http.Error(w, "url required", http.StatusBadRequest)
-		return body, false
-	}
-	return body, true
-}
-
-// ringChanged bumps the admin ring-change counter.
-func (s *Server) ringChanged(action string) {
-	s.reg.NewCounter(MetricAdminRingChanges,
-		"Admin mutations of the worker hash ring, by action.",
-		obs.Labels{"action": action}).Inc()
-}
-
-// serveListWorkers reports every ring member's health/drain/breaker
-// state.
-func (s *Server) serveListWorkers(w http.ResponseWriter, r *http.Request) {
-	if !s.requireRing(w) {
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(s.coord.Workers())
-}
-
-// serveAddWorker grows the ring at runtime.
-func (s *Server) serveAddWorker(w http.ResponseWriter, r *http.Request) {
-	if !s.requireRing(w) {
-		return
-	}
-	body, ok := decodeRing(w, r)
-	if !ok {
-		return
-	}
-	if err := s.coord.AddWorker(body.URL); err != nil {
-		http.Error(w, err.Error(), http.StatusConflict)
-		return
-	}
-	s.ringChanged("add")
-	w.WriteHeader(http.StatusCreated)
-	json.NewEncoder(w).Encode(s.coord.Workers())
-}
-
-// serveDrainWorker marks a member draining (default) or undrains it
-// with {"drain": false}.
-func (s *Server) serveDrainWorker(w http.ResponseWriter, r *http.Request) {
-	if !s.requireRing(w) {
-		return
-	}
-	body, ok := decodeRing(w, r)
-	if !ok {
-		return
-	}
-	drain := true
-	if body.Drain != nil {
-		drain = *body.Drain
-	}
-	if err := s.coord.DrainWorker(body.URL, drain); err != nil {
-		http.Error(w, err.Error(), http.StatusNotFound)
-		return
-	}
-	s.ringChanged("drain")
-	json.NewEncoder(w).Encode(s.coord.Workers())
-}
-
-// serveRemoveWorker deletes a ring member.
-func (s *Server) serveRemoveWorker(w http.ResponseWriter, r *http.Request) {
-	if !s.requireRing(w) {
-		return
-	}
-	body, ok := decodeRing(w, r)
-	if !ok {
-		return
-	}
-	if err := s.coord.RemoveWorker(body.URL); err != nil {
-		http.Error(w, err.Error(), http.StatusConflict)
-		return
-	}
-	s.ringChanged("remove")
-	json.NewEncoder(w).Encode(s.coord.Workers())
 }

@@ -12,7 +12,7 @@ import (
 )
 
 // The scan hot path has three behavior-preserving optimizations: zero-copy
-// QueryView reads, the versioned decomposition cache, and the parallel
+// QueryViewStamped reads, the versioned decomposition cache, and the parallel
 // service sweep. Each must be invisible in the detection output. These
 // tests build the same seeded multi-service fleet twice, run monitors with
 // the optimization toggled, and require byte-identical reports and funnels.
@@ -229,7 +229,7 @@ func TestScanEquivalenceParallelVsSerial(t *testing.T) {
 }
 
 func TestQueryViewScanMatchesQueryScan(t *testing.T) {
-	// The pipeline reads through QueryView; re-reading every scanned
+	// The pipeline reads through QueryViewStamped; re-reading every scanned
 	// window through the copying Query must yield identical series. This
 	// pins the zero-copy read path to the copying one on live fleet data.
 	cfg := pipelineConfig()
@@ -238,7 +238,7 @@ func TestQueryViewScanMatchesQueryScan(t *testing.T) {
 	checked := 0
 	for _, svc := range services {
 		for _, id := range p.db.Metrics(svc) {
-			view, _, err := p.db.QueryView(id, from, end)
+			view, _, err := p.db.QueryViewStamped(id, from, end, nil)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -384,50 +384,6 @@ func (c *Coordinator) Pool() *WorkerPool {
 	return c.pool
 }
 
-// AddWorker grows the hash ring at runtime: the new worker joins the
-// pool (healthy until probed otherwise) and starts receiving its hash
-// share of services on the next scan. The control plane's admin API
-// calls this.
-func (c *Coordinator) AddWorker(url string) error {
-	c.ensure()
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if err := c.pool.Add(url); err != nil {
-		return err
-	}
-	c.workers = c.pool.URLs()
-	return nil
-}
-
-// DrainWorker marks a ring member draining (drain=true: no new work is
-// routed to it) or returns it to rotation (drain=false). Draining keeps
-// the worker in the ring so undrain is cheap and hash assignments of the
-// other members don't churn.
-func (c *Coordinator) DrainWorker(url string, drain bool) error {
-	c.ensure()
-	return c.pool.SetDraining(url, drain)
-}
-
-// RemoveWorker deletes a ring member at runtime; its services rehash to
-// the survivors on the next scan. Removing the last worker is refused.
-func (c *Coordinator) RemoveWorker(url string) error {
-	c.ensure()
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if err := c.pool.Remove(url); err != nil {
-		return err
-	}
-	c.workers = c.pool.URLs()
-	return nil
-}
-
-// Workers reports every ring member's health, drain flag, and breaker
-// state — the admin API's GET view.
-func (c *Coordinator) Workers() []WorkerStatus {
-	c.ensure()
-	return c.pool.Snapshot()
-}
-
 // StartHealthChecks probes workers now and every Pool.ProbeInterval
 // until ctx is done. Run in a goroutine next to a long-lived
 // coordinator.

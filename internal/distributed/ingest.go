@@ -10,7 +10,6 @@ import (
 	"io"
 	"math"
 	"net/http"
-	"strconv"
 	"time"
 
 	"fbdetect/internal/obs"
@@ -212,7 +211,7 @@ func (h *IngestHandler) ServeHTTP(rw http.ResponseWriter, req *http.Request) {
 		defer func() { <-h.sem }()
 	default:
 		h.rejCounter(IngestReasonBusy).Inc()
-		rw.Header().Set("Retry-After", retryAfterSeconds(h.opts.RetryAfter))
+		rw.Header().Set("Retry-After", resilience.FormatRetryAfter(h.opts.RetryAfter))
 		http.Error(rw, "too many ingest batches in flight", http.StatusTooManyRequests)
 		return
 	}
@@ -297,16 +296,6 @@ func decodeNDJSON(data []byte) ([]tsdb.Point, error) {
 	return pts, nil
 }
 
-// retryAfterSeconds renders d as a whole-second Retry-After value,
-// rounding up so the hint never understates the wait.
-func retryAfterSeconds(d time.Duration) string {
-	s := int((d + time.Second - 1) / time.Second)
-	if s < 1 {
-		s = 1
-	}
-	return strconv.Itoa(s)
-}
-
 // IngestClient streams point batches to a worker's /ingest endpoint,
 // retrying transient failures (connection errors, 5xx, 429) under a
 // resilience policy and honoring the server's Retry-After hints. A batch
@@ -361,8 +350,8 @@ func (c *IngestClient) post(ctx context.Context, body []byte) (IngestResult, err
 		if !retryable {
 			return res, resilience.Permanent(serr)
 		}
-		if secs, perr := strconv.Atoi(resp.Header.Get("Retry-After")); perr == nil && secs > 0 {
-			return res, resilience.RetryAfter(serr, time.Duration(secs)*time.Second)
+		if after, ok := resilience.ParseRetryAfter(resp.Header); ok {
+			return res, resilience.RetryAfter(serr, after)
 		}
 		return res, serr
 	}

@@ -357,3 +357,28 @@ func TestIngestClientHonorsRetryAfter(t *testing.T) {
 		t.Fatalf("client slept %v, want the two 7s hints (%v)", got, want)
 	}
 }
+
+// quotaStore rejects every batch with a StatusError, standing in for the
+// control plane's quota-enforcing store.
+type quotaStore struct{}
+
+type quotaErr struct{}
+
+func (quotaErr) Error() string   { return "tenant quota exceeded" }
+func (quotaErr) HTTPStatus() int { return http.StatusForbidden }
+
+func (quotaStore) AppendBatch(pts []tsdb.Point) (int, error) { return 0, quotaErr{} }
+
+func TestIngestStatusError(t *testing.T) {
+	h := NewIngestHandler(quotaStore{}, IngestOptions{})
+	req := httptest.NewRequest(http.MethodPost, "/ingest",
+		strings.NewReader(`{"metric":"web//cpu","time":"2024-08-01T00:00:00Z","value":1}`+"\n"))
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, req)
+	if rec.Code != http.StatusForbidden {
+		t.Fatalf("status = %d, want 403 from the store's StatusError", rec.Code)
+	}
+	if !strings.Contains(rec.Body.String(), "quota") {
+		t.Fatalf("body %q should carry the store's message", rec.Body.String())
+	}
+}

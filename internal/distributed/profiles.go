@@ -10,6 +10,7 @@ import (
 
 	"fbdetect/internal/obs"
 	"fbdetect/internal/pprofparse"
+	"fbdetect/internal/resilience"
 	"fbdetect/internal/stacktrace"
 	"fbdetect/internal/tsdb"
 )
@@ -187,7 +188,7 @@ func (h *ProfilesHandler) ServeHTTP(rw http.ResponseWriter, req *http.Request) {
 		defer func() { <-h.sem }()
 	default:
 		h.rejCounter(ProfilesReasonBusy).Inc()
-		rw.Header().Set("Retry-After", retryAfterSeconds(h.opts.RetryAfter))
+		rw.Header().Set("Retry-After", resilience.FormatRetryAfter(h.opts.RetryAfter))
 		http.Error(rw, "too many profile uploads in flight", http.StatusTooManyRequests)
 		return
 	}

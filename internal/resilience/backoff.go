@@ -4,6 +4,8 @@ import (
 	"context"
 	"errors"
 	"math/rand"
+	"net/http"
+	"strconv"
 	"sync"
 	"time"
 )
@@ -85,6 +87,26 @@ func RetryAfterHint(err error) (time.Duration, bool) {
 		return ra.after, true
 	}
 	return 0, false
+}
+
+// FormatRetryAfter renders d as a whole-second Retry-After header value,
+// rounding up (minimum 1s) so the hint never understates the wait.
+func FormatRetryAfter(d time.Duration) string {
+	sec := int((d + time.Second - 1) / time.Second)
+	if sec < 1 {
+		sec = 1
+	}
+	return strconv.Itoa(sec)
+}
+
+// ParseRetryAfter reads a positive delta-seconds Retry-After header; ok
+// is false when the header is absent, malformed, or not positive.
+func ParseRetryAfter(h http.Header) (d time.Duration, ok bool) {
+	sec, err := strconv.Atoi(h.Get("Retry-After"))
+	if err != nil || sec <= 0 {
+		return 0, false
+	}
+	return time.Duration(sec) * time.Second, true
 }
 
 // permanentError marks an error that retrying cannot fix (a 404, a

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"net/http"
 	"testing"
 	"time"
 )
@@ -69,5 +70,53 @@ func TestRetryerCapsRetryAfterHint(t *testing.T) {
 	}
 	if got, want := clock.Slept(), 2*time.Second; got != want {
 		t.Fatalf("slept %v, want the policy cap (%v)", got, want)
+	}
+}
+
+func TestRetryAfterHeaderCodec(t *testing.T) {
+	for _, tc := range []struct {
+		d    time.Duration
+		want string
+	}{
+		{0, "1"},
+		{-time.Second, "1"},
+		{time.Millisecond, "1"},
+		{time.Second, "1"},
+		{1500 * time.Millisecond, "2"},
+		{7 * time.Second, "7"},
+		{time.Minute, "60"},
+	} {
+		if got := FormatRetryAfter(tc.d); got != tc.want {
+			t.Errorf("FormatRetryAfter(%v) = %q, want %q", tc.d, got, tc.want)
+		}
+	}
+	for _, tc := range []struct {
+		header string
+		want   time.Duration
+		ok     bool
+	}{
+		{"", 0, false},
+		{"7", 7 * time.Second, true},
+		{"1", time.Second, true},
+		{"0", 0, false},
+		{"-3", 0, false},
+		{"1.5", 0, false},
+		{"soon", 0, false},
+		{"Wed, 21 Oct 2015 07:28:00 GMT", 0, false},
+	} {
+		h := http.Header{}
+		if tc.header != "" {
+			h.Set("Retry-After", tc.header)
+		}
+		if got, ok := ParseRetryAfter(h); got != tc.want || ok != tc.ok {
+			t.Errorf("ParseRetryAfter(%q) = %v,%v; want %v,%v", tc.header, got, ok, tc.want, tc.ok)
+		}
+	}
+	// A formatted hint parses back to at least the duration it encodes.
+	for _, d := range []time.Duration{time.Millisecond, 2 * time.Second, 2500 * time.Millisecond} {
+		got, ok := ParseRetryAfter(http.Header{"Retry-After": {FormatRetryAfter(d)}})
+		if !ok || got < d {
+			t.Errorf("round trip of %v = %v,%v; want >= %v", d, got, ok, d)
+		}
 	}
 }

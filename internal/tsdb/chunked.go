@@ -16,9 +16,9 @@ import (
 const DefaultChunkSize = 120
 
 // RawChunks disables chunk compression when passed as Options.ChunkSize:
-// series stay as raw float64 arrays and QueryView is zero-copy, matching
-// the pre-compression store. Equivalence tests and memory-insensitive
-// callers use it as the control.
+// series stay as raw float64 arrays and QueryViewStamped is zero-copy,
+// matching the pre-compression store. Equivalence tests and
+// memory-insensitive callers use it as the control.
 const RawChunks = -1
 
 // epochCounter issues process-unique series epochs; see entry.epoch.
@@ -238,11 +238,15 @@ type ViewStamp struct {
 }
 
 // QueryViewStamped returns the metric's series restricted to [from, to)
-// along with its ViewStamp. In chunked mode the window decodes into sc's
-// reusable buffer (allocating only on first use or growth); the returned
-// series is valid until sc's next use. In raw mode the view is zero-copy
-// as QueryView documents and sc is untouched. A nil sc uses a throwaway
-// buffer.
+// along with its ViewStamp. In chunked mode (the default) the window
+// decodes into sc's reusable buffer (allocating only on first use or
+// growth); the returned series is valid until sc's next use. A nil sc
+// uses a throwaway buffer. In raw mode (Options.ChunkSize == RawChunks)
+// the view is zero-copy and sc is untouched: the view shares the store's
+// backing array and is a stable snapshot, because concurrent Appends only
+// write past its end (or into a freshly grown array) and Prune replaces
+// the backing array rather than truncating it in place. Callers must
+// treat the view's Values as read-only.
 func (db *DB) QueryViewStamped(id MetricID, from, to time.Time, sc *Scratch) (*timeseries.Series, ViewStamp, error) {
 	sh := db.shardFor(id)
 	sh.mu.RLock()

@@ -389,20 +389,6 @@ func (db *DB) Query(id MetricID, from, to time.Time) (*timeseries.Series, error)
 	return timeseries.New(c.timeAt(i), c.step, vals), nil
 }
 
-// QueryView returns the metric's series restricted to [from, to) plus the
-// series version at snapshot time. In raw mode (Options.ChunkSize ==
-// RawChunks) the view is zero-copy, sharing the store's backing array;
-// the view is a stable snapshot because concurrent Appends only write
-// past its end (or into a freshly grown array) and Prune replaces the
-// backing array rather than truncating it in place. Callers must treat
-// the view's Values as read-only. In chunked mode (the default) the
-// window decodes into a fresh allocation; hot paths should prefer
-// QueryViewStamped with a reused Scratch.
-func (db *DB) QueryView(id MetricID, from, to time.Time) (*timeseries.Series, uint64, error) {
-	s, st, err := db.QueryViewStamped(id, from, to, nil)
-	return s, st.Version, err
-}
-
 // Version returns the metric's current version counter (0 for unknown
 // metrics). The version increases on every mutation of the series, so an
 // unchanged version guarantees unchanged content.
@@ -495,7 +481,7 @@ func (db *DB) Drop(id MetricID) {
 // Prune discards points older than the retention horizon for every series,
 // bounding memory for long simulations. Pruned series are rebuilt into
 // fresh chunks and backing arrays (never truncated in place), so
-// outstanding QueryView snapshots stay valid; their versions and epochs
+// outstanding QueryViewStamped snapshots stay valid; their versions and epochs
 // advance so caches keyed on (metric, version) or (metric, epoch)
 // invalidate. Pruning is exact even mid-chunk: overlapping sealed chunks
 // are decoded and the surviving points re-sealed.

@@ -213,11 +213,11 @@ func TestQueryViewMatchesQuery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	view, ver, err := db.QueryView(id, from, to)
+	view, st, err := db.QueryViewStamped(id, from, to, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ver == 0 {
+	if st.Version == 0 {
 		t.Error("view version = 0 for known metric")
 	}
 	if view.Len() != copied.Len() || !view.Start.Equal(copied.Start) {
@@ -235,12 +235,12 @@ func TestQueryViewMatchesQuery(t *testing.T) {
 	for i := 0; i < 20; i++ {
 		raw.Append(id, t0.Add(time.Duration(i)*time.Minute), float64(i))
 	}
-	rview, _, err := raw.QueryView(id, from, to)
+	rview, _, err := raw.QueryViewStamped(id, from, to, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if &rview.Values[0] != &raw.shardFor(id).series[id].data.head[3] {
-		t.Error("raw-mode QueryView copied instead of sharing the backing array")
+		t.Error("raw-mode QueryViewStamped copied instead of sharing the backing array")
 	}
 }
 
@@ -250,7 +250,7 @@ func TestQueryViewStableUnderAppendAndPrune(t *testing.T) {
 	for i := 0; i < 8; i++ {
 		db.Append(id, t0.Add(time.Duration(i)*time.Minute), float64(i))
 	}
-	view, _, err := db.QueryView(id, t0, t0.Add(8*time.Minute))
+	view, _, err := db.QueryViewStamped(id, t0, t0.Add(8*time.Minute), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -311,7 +311,7 @@ func TestConcurrentAppendAndView(t *testing.T) {
 		}(ids[g])
 		go func(id MetricID) {
 			for i := 0; i < 200; i++ {
-				view, _, err := db.QueryView(id, t0, t0.Add(500*time.Minute))
+				view, _, err := db.QueryViewStamped(id, t0, t0.Add(500*time.Minute), nil)
 				if err != nil {
 					t.Error(err)
 					break

@@ -255,8 +255,8 @@ func WriteProfileDiff(w io.Writer, d *ProfileDiff) error {
 // Multi-tenant control plane: the long-lived REST front door — tenant
 // registration with API-key auth, per-tenant namespacing into a shared
 // durable store, quotas and token-bucket rate limits on the data plane,
-// journaled async operations polled at /operations/{id}, and a runtime
-// admin API over the coordinator worker ring.
+// journaled async operations polled at /operations/{id}, and an admin
+// API for tenant registration.
 type (
 	// ControlPlane is the server; ControlPlaneOptions configures it.
 	ControlPlane        = controlplane.Server
@@ -281,9 +281,8 @@ const (
 	AsyncOpSucceeded = controlplane.OpSucceeded
 	AsyncOpFailed    = controlplane.OpFailed
 
-	AsyncOpKindBackfill  = controlplane.OpKindBackfill
-	AsyncOpKindSweep     = controlplane.OpKindSweep
-	AsyncOpKindRebalance = controlplane.OpKindRebalance
+	AsyncOpKindBackfill = controlplane.OpKindBackfill
+	AsyncOpKindSweep    = controlplane.OpKindSweep
 )
 
 // NewControlPlane opens (or crash-recovers) a control plane rooted at
