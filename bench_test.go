@@ -400,8 +400,7 @@ func BenchmarkScanThroughputNoCheckpoint(b *testing.B) {
 // state: each iteration appends one new point per metric and re-scans one
 // step later, so every window slides by a single point. Checkpoints miss
 // by design (the window changed); the cost under measurement is the
-// incremental re-read plus re-detection, with the STL seasonal-extension
-// path enabled as it would be on a live deployment.
+// incremental re-read plus exact re-detection.
 func BenchmarkWarmScanIncremental(b *testing.B) {
 	const nMetrics = 100
 	db := NewDB(time.Minute)
@@ -431,13 +430,12 @@ func BenchmarkWarmScanIncremental(b *testing.B) {
 		Windows: WindowConfig{
 			Historic: 5 * time.Hour, Analysis: 3 * time.Hour, Extended: time.Hour,
 		},
-		STLExtend: true,
 	}
 	det, err := NewDetector(cfg, db, nil, nil)
 	if err != nil {
 		b.Fatal(err)
 	}
-	if _, err := det.Scan("warm", start.Add(9*time.Hour)); err != nil { // cold scan anchors
+	if _, err := det.Scan("warm", start.Add(9*time.Hour)); err != nil { // cold scan
 		b.Fatal(err)
 	}
 	b.ResetTimer()

@@ -70,15 +70,6 @@ type Config struct {
 	// disables checkpointing.
 	CheckpointCacheSize int
 
-	// STLExtend enables incremental seasonal extension: when a scan
-	// window slides forward by at most one period over an unchanged
-	// series, the cached seasonal component is shifted and extended
-	// periodically and only the trend is refit, instead of redetecting
-	// the period and redecomposing. Approximate by design (bounded by one
-	// period per full re-anchor); off by default, which keeps detection
-	// outputs bit-identical to the cold path.
-	STLExtend bool
-
 	// WentAway tunes the went-away detector.
 	WentAway WentAwayConfig
 

@@ -6,8 +6,6 @@ import (
 	"testing"
 	"time"
 
-	"fbdetect/internal/stats"
-	"fbdetect/internal/stl"
 	"fbdetect/internal/timeseries"
 	"fbdetect/internal/tsdb"
 )
@@ -15,9 +13,8 @@ import (
 // These tests pin the tentpole soundness claims of the incremental scan
 // path: detector checkpoints and compressed chunk storage must be
 // byte-identical to the cold, raw-storage path even as series grow
-// between scans, and the opt-in STL seasonal extension must track a full
-// redecomposition closely. Run under -race they also prove the scratch
-// and cache sharing discipline.
+// between scans. Run under -race they also prove the scratch and cache
+// sharing discipline.
 
 // seedIncrementalDB appends the first `points` steps of a deterministic
 // 40-metric workload (some seasonal, one with a step regression) to db.
@@ -176,121 +173,4 @@ func TestCompressedVsRawByteIdentical(t *testing.T) {
 	chunked := scanSequence(t, pChunked, dbChunked, "chunked")
 	raw := scanSequence(t, pRaw, dbRaw, "raw")
 	compareScanResults(t, chunked, raw, "compressed vs raw")
-}
-
-// TestSTLExtendTracksFullDecomposition unit-tests the seasonal extension
-// against a full redecomposition of the slid window.
-func TestSTLExtendTracksFullDecomposition(t *testing.T) {
-	const n, period, k = 480, 120, 10
-	rng := rand.New(rand.NewSource(41))
-	// Both windows slice the same underlying sequence so they share their
-	// overlap exactly, as slid windows over one stored series do.
-	seq := make([]float64, n+k)
-	for i := range seq {
-		seq[i] = 10 + 2*math.Sin(2*math.Pi*float64(i)/period) + rng.NormFloat64()*0.05
-	}
-	base := timeseries.New(t0, time.Minute, seq)
-	fullA := base.SliceIndex(0, n)
-	fullB := base.SliceIndex(k, n+k)
-
-	// Anchor at the true period (detection may lock onto a neighboring
-	// lag on noisy data; that wobble is a property of the detector, not
-	// of the extension under test here).
-	ad, err := stl.Decompose(fullA.Values, period, stl.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	anchorRes := &stlResult{
-		period: period, seasonal: true,
-		decomp: ad, des: ad.Deseasonalized(), resSD: stats.StdDev(ad.Residual),
-	}
-	a := stlAnchor{epoch: 1, start: fullA.Start.UnixNano(), n: n, res: anchorRes}
-
-	ext := extendSTL(a, 1, fullB)
-	if ext == nil {
-		t.Fatalf("extension refused a valid slide (anchor period=%d, start delta=%v, step=%v)",
-			anchorRes.period, fullB.Start.Sub(fullA.Start), fullB.Step)
-	}
-	if ext.period != anchorRes.period {
-		t.Fatalf("extension changed the period: %d != %d", ext.period, anchorRes.period)
-	}
-	// Reference: a full decomposition of the slid window pinned to the
-	// anchor's period. (An unpinned redecomposition may detect a
-	// neighboring lag — that drift is re-anchored away within one period
-	// and is not what the extension itself introduces.)
-	refDecomp, err := stl.Decompose(fullB.Values, ext.period, stl.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	refDes := refDecomp.Deseasonalized()
-	// The extension must track the full redecomposition tightly over the
-	// interior. At the window edges STL's Loess smoothing lets the
-	// seasonal drift off strict periodicity (a property of STL itself,
-	// visible within a single decomposition), so the boundary bound is a
-	// loose sanity check rather than a tracking guarantee.
-	var maxInterior, maxEdge float64
-	for i := 0; i < n; i++ {
-		d := math.Abs(ext.decomp.Seasonal[i] - refDecomp.Seasonal[i])
-		if dd := math.Abs(ext.des[i] - refDes[i]); dd > d {
-			d = dd
-		}
-		if i >= period && i < n-period {
-			if d > maxInterior {
-				maxInterior = d
-			}
-		} else if d > maxEdge {
-			maxEdge = d
-		}
-	}
-	if maxInterior > 0.15 { // amplitude is 2.0: within 7.5%
-		t.Errorf("interior divergence %.4f exceeds tolerance", maxInterior)
-	}
-	if maxEdge > 1.0 { // half the amplitude
-		t.Errorf("edge divergence %.4f exceeds tolerance", maxEdge)
-	}
-	refSD := stats.StdDev(refDecomp.Residual)
-	if math.Abs(ext.resSD-refSD) > 0.05 {
-		t.Errorf("residual sd %.4f vs %.4f", ext.resSD, refSD)
-	}
-
-	// Refusals: wrong epoch, excessive slide, mismatched length.
-	if extendSTL(a, 2, fullB) != nil {
-		t.Error("extension accepted a different epoch")
-	}
-	far := base.SliceIndex(k, n+k)
-	farShift := timeseries.New(fullA.Start.Add(time.Duration(period+1)*time.Minute), time.Minute, far.Values)
-	if extendSTL(a, 1, farShift) != nil {
-		t.Error("extension accepted a slide past one period")
-	}
-	short := base.SliceIndex(k, n+k-1)
-	if extendSTL(a, 1, short) != nil {
-		t.Error("extension accepted a length mismatch")
-	}
-}
-
-// TestSTLExtendPipelineDeterministic: the opt-in extension path must be
-// deterministic and still detect a clear regression.
-func TestSTLExtendPipelineDeterministic(t *testing.T) {
-	run := func() []*ScanResult {
-		cfg := incrementalConfig()
-		cfg.STLExtend = true
-		db := tsdb.New(time.Minute)
-		seedIncrementalDB(db, 540)
-		p, err := NewPipeline(cfg, db, nil, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return scanSequence(t, p, db, "stl-extend")
-	}
-	a, b := run(), run()
-	compareScanResults(t, b, a, "stl-extend determinism")
-	found := false
-	for _, r := range a {
-		if len(r.Reported) > 0 {
-			found = true
-		}
-	}
-	if !found {
-		t.Error("extension-enabled pipeline reported nothing")
-	}
 }

@@ -39,7 +39,6 @@ const (
 	MetricMetricsScanned = "fbdetect_pipeline_metrics_scanned_total"
 	MetricSTLCacheHits   = "fbdetect_stl_cache_hits_total"
 	MetricSTLCacheMisses = "fbdetect_stl_cache_misses_total"
-	MetricSTLExtended    = "fbdetect_stl_extended_total"
 	MetricViewPoints     = "fbdetect_tsdb_view_points_total"
 	MetricCheckpointHits = "fbdetect_checkpoint_hits_total"
 	MetricCheckpointMiss = "fbdetect_checkpoint_misses_total"
@@ -59,7 +58,6 @@ type pipelineObs struct {
 
 	stlHits    *obs.Counter
 	stlMisses  *obs.Counter
-	stlExtends *obs.Counter
 	viewPoints *obs.Counter
 	cpHits     *obs.Counter
 	cpMisses   *obs.Counter
@@ -80,8 +78,6 @@ func newPipelineObs(reg *obs.Registry, tracer *obs.Tracer) *pipelineObs {
 			"Versioned decomposition cache hits (STL work skipped).", nil),
 		stlMisses: reg.NewCounter(MetricSTLCacheMisses,
 			"Versioned decomposition cache misses (STL work performed).", nil),
-		stlExtends: reg.NewCounter(MetricSTLExtended,
-			"Decompositions served by incremental seasonal extension instead of a full STL pass.", nil),
 		viewPoints: reg.NewCounter(MetricViewPoints,
 			"Data points decoded from tsdb views during scans (checkpoint hits decode nothing).", nil),
 		cpHits: reg.NewCounter(MetricCheckpointHits,
@@ -145,15 +141,6 @@ func (po *pipelineObs) popShiftSuppressed(n int) {
 		return
 	}
 	po.popShifts.Add(float64(n))
-}
-
-// stlExtended counts one decomposition served by seasonal extension.
-// Nil-safe.
-func (po *pipelineObs) stlExtended() {
-	if po == nil {
-		return
-	}
-	po.stlExtends.Inc()
 }
 
 // viewServed counts the points of one decoded series view. Nil-safe.

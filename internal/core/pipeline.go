@@ -91,7 +91,6 @@ type Pipeline struct {
 	pairwise    *PairwiseDeduper
 	planned     *PlannedChangeRegistry
 	stlCache    *stlCache        // epoch-keyed decomposition cache; nil = disabled
-	stlAnchors  *stlAnchors      // seasonal-extension anchors; nil unless STLExtend
 	checkpoints *checkpointCache // per-series detector checkpoints; nil = disabled
 	obs         *pipelineObs     // nil until Instrument; nil-safe hooks
 }
@@ -122,10 +121,6 @@ func NewPipeline(cfg Config, db *tsdb.DB, log *changelog.Log, samples SampleProv
 	if cpSize > 0 {
 		checkpoints = newCheckpointCache(cpSize)
 	}
-	var anchors *stlAnchors
-	if cfg.STLExtend {
-		anchors = newSTLAnchors()
-	}
 	return &Pipeline{
 		cfg:         cfg,
 		db:          db,
@@ -135,7 +130,6 @@ func NewPipeline(cfg Config, db *tsdb.DB, log *changelog.Log, samples SampleProv
 		merger:      NewSameRegressionMerger(cfg.Dedup.SameRegressionWindow),
 		pairwise:    NewPairwiseDeduper(cfg.Dedup, nil),
 		stlCache:    cache,
-		stlAnchors:  anchors,
 		checkpoints: checkpoints,
 	}, nil
 }

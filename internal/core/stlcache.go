@@ -180,9 +180,7 @@ func (p *Pipeline) STLCacheStats() (hits, misses uint64, entries int) {
 // stlFor returns the decomposition-derived results for one metric's full
 // window, consulting the epoch-keyed cache. With caching disabled every
 // call recomputes, matching the uncached detectors exactly — the cache is
-// a pure memoization, so detection output is identical either way. (With
-// Config.STLExtend the miss path may extend a previous decomposition
-// instead of recomputing; see stlextend.go for the approximation bound.)
+// a pure memoization, so detection output is identical either way.
 func (p *Pipeline) stlFor(metric tsdb.MetricID, epoch uint64, full *timeseries.Series) *stlResult {
 	key := stlKey{metric: metric, epoch: epoch, start: full.Start.UnixNano(), n: full.Len()}
 	if r := p.stlCache.get(key); r != nil {
@@ -192,7 +190,7 @@ func (p *Pipeline) stlFor(metric tsdb.MetricID, epoch uint64, full *timeseries.S
 	if p.stlCache != nil {
 		p.obs.stlCacheLookup(false)
 	}
-	r := p.stlCompute(metric, epoch, full)
+	r := computeSTL(p.cfg.Seasonality, full, p.cfg.LongTerm)
 	p.stlCache.put(key, r)
 	return r
 }

@@ -53,6 +53,19 @@ func BenchmarkTheilSen5kSubsampled(b *testing.B) {
 	}
 }
 
+// BenchmarkDominantSeasonLag540 is the seasonality detector's lag search
+// over a 540-point window (nine hours at one point a minute) at the
+// default period bounds, which clamp to lags 4..269.
+func BenchmarkDominantSeasonLag540(b *testing.B) {
+	xs := benchData(540)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		sinkLag, _ = DominantSeasonLag(xs, 4, 400)
+	}
+}
+
+var sinkLag int
+
 func BenchmarkLikelihoodRatio1k(b *testing.B) {
 	xs := benchData(1000)
 	for i := 0; i < b.N; i++ {

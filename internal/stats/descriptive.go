@@ -13,6 +13,7 @@ package stats
 
 import (
 	"math"
+	"math/bits"
 	"sort"
 )
 
@@ -78,10 +79,9 @@ func Percentile(xs []float64, p float64) float64 {
 	if n == 0 {
 		return 0
 	}
-	sorted := make([]float64, n)
-	copy(sorted, xs)
-	sort.Float64s(sorted)
-	return percentileSorted(sorted, p)
+	buf := make([]float64, n)
+	copy(buf, xs)
+	return selectPercentile(buf, p)
 }
 
 // PercentileSorted is like Percentile but requires xs to be sorted ascending
@@ -114,6 +114,97 @@ func percentileSorted(sorted []float64, p float64) float64 {
 	return sorted[lo]*(1-frac) + sorted[hi]*frac
 }
 
+// selectPercentile returns percentileSorted(sort(buf), p) without a full
+// sort, reordering buf in place; buf must be non-empty. It quickselects
+// the lower interpolation rank and takes the minimum of what lies above it
+// for the upper one, so the result is the same order statistics combined
+// by the same expression. A NaN in buf or p falls back to the sort, whose
+// NaN ordering selection does not reproduce.
+func selectPercentile(buf []float64, p float64) float64 {
+	n := len(buf)
+	if n == 1 {
+		return buf[0]
+	}
+	if p != p || hasNaN(buf) {
+		sort.Float64s(buf)
+		return percentileSorted(buf, p)
+	}
+	if p <= 0 {
+		return Min(buf)
+	}
+	if p >= 100 {
+		return Max(buf)
+	}
+	rank := p / 100 * float64(n-1)
+	lo := int(math.Floor(rank))
+	hi := lo + 1
+	frac := rank - float64(lo)
+	if hi >= n {
+		return Max(buf)
+	}
+	selectRank(buf, lo)
+	return buf[lo]*(1-frac) + Min(buf[hi:])*frac
+}
+
+func hasNaN(xs []float64) bool {
+	for _, x := range xs {
+		if x != x {
+			return true
+		}
+	}
+	return false
+}
+
+// selectRank reorders a (NaN-free) so that a[k] holds the value a full sort
+// would put there, everything before it is <= a[k] and everything after is
+// >= a[k]. It is Hoare quickselect with a median-of-three pivot; after a
+// logarithmic budget of partitions it sorts the remaining range, bounding
+// the worst case at O(n log n).
+func selectRank(a []float64, k int) {
+	lo, hi := 0, len(a)-1
+	for budget := 2 * bits.Len(uint(len(a))); hi > lo; budget-- {
+		if budget == 0 {
+			sort.Float64s(a[lo : hi+1])
+			return
+		}
+		mid := lo + (hi-lo)/2
+		if a[mid] < a[lo] {
+			a[mid], a[lo] = a[lo], a[mid]
+		}
+		if a[hi] < a[lo] {
+			a[hi], a[lo] = a[lo], a[hi]
+		}
+		if a[hi] < a[mid] {
+			a[hi], a[mid] = a[mid], a[hi]
+		}
+		pivot := a[mid]
+		i, j := lo, hi
+		for i <= j {
+			for a[i] < pivot {
+				i++
+			}
+			for a[j] > pivot {
+				j--
+			}
+			if i <= j {
+				a[i], a[j] = a[j], a[i]
+				i++
+				j--
+			}
+		}
+		// Now a[lo..j] <= pivot <= a[i..hi], and anything between equals
+		// the pivot.
+		switch {
+		case k <= j:
+			hi = j
+		case k >= i:
+			lo = i
+		default:
+			return
+		}
+	}
+}
+
 // MAD returns the median absolute deviation of xs around its median.
 // Multiplying by NormalityConstant yields a robust estimate of the standard
 // deviation under normality.
@@ -126,7 +217,7 @@ func MAD(xs []float64) float64 {
 	for i, x := range xs {
 		devs[i] = math.Abs(x - med)
 	}
-	return Median(devs)
+	return selectPercentile(devs, 50)
 }
 
 // NormalityConstant scales MAD to a consistent estimator of the standard

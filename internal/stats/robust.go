@@ -1,9 +1,6 @@
 package stats
 
-import (
-	"math"
-	"sort"
-)
+import "math"
 
 // TheilSen estimates the slope and intercept of a linear trend through
 // (i, xs[i]) using Theil-Sen's estimator: the slope is the median of
@@ -21,7 +18,7 @@ func TheilSen(xs []float64) (slope, intercept float64) {
 	// For large inputs, deterministically subsample evenly spaced indices
 	// down to the limit; the estimator then runs exactly on the subsample
 	// (bounding work at limit^2/2 pairs) while preserving the trend's
-	// time structure.
+	// time structure. The stride exceeds 1, so the indices are distinct.
 	idxs := make([]int, 0, theilSenExactLimit)
 	if n <= theilSenExactLimit {
 		for i := 0; i < n; i++ {
@@ -38,20 +35,13 @@ func TheilSen(xs []float64) (slope, intercept float64) {
 	for a := 0; a < m-1; a++ {
 		for bi := a + 1; bi < m; bi++ {
 			i, j := idxs[a], idxs[bi]
-			if j == i {
-				continue
-			}
 			slopes = append(slopes, (xs[j]-xs[i])/float64(j-i))
 		}
 	}
-	sort.Float64s(slopes)
-	slope = PercentileSorted(slopes, 50)
-	// intercept via medians for robustness.
-	idx := make([]float64, n)
-	for i := range idx {
-		idx[i] = float64(i)
-	}
-	intercept = Median(xs) - slope*Median(idx)
+	slope = selectPercentile(slopes, 50)
+	// intercept via medians for robustness; the median of 0..n-1 is
+	// (n-1)/2 exactly.
+	intercept = Median(xs) - slope*(float64(n-1)/2)
 	return slope, intercept
 }
 

@@ -120,36 +120,18 @@ type MannKendallResult struct {
 // MannKendall performs the non-parametric Mann-Kendall test for a monotonic
 // trend at significance level alpha. Ties are handled with the standard
 // variance correction.
+//
+// S is computed in O(n log n) by counting inversions during a merge sort
+// (Knight 1966), and the tie groups are read off the same sorted copy. S
+// and the variance are integer-valued floats below 2^53 for any window
+// under ~160k points, so the result is bit-identical to the O(n^2) pair
+// loop.
 func MannKendall(xs []float64, alpha float64) MannKendallResult {
 	n := len(xs)
 	if n < 4 {
 		return MannKendallResult{P: 1, Trend: TrendNone}
 	}
-	s := 0.0
-	for i := 0; i < n-1; i++ {
-		for j := i + 1; j < n; j++ {
-			switch {
-			case xs[j] > xs[i]:
-				s++
-			case xs[j] < xs[i]:
-				s--
-			}
-		}
-	}
-	// Variance with tie correction.
-	ties := map[float64]int{}
-	for _, x := range xs {
-		ties[x]++
-	}
-	nf := float64(n)
-	v := nf * (nf - 1) * (2*nf + 5)
-	for _, c := range ties {
-		if c > 1 {
-			cf := float64(c)
-			v -= cf * (cf - 1) * (2*cf + 5)
-		}
-	}
-	v /= 18
+	s, v := mannKendallSV(xs)
 	var z float64
 	switch {
 	case v == 0:
@@ -169,4 +151,83 @@ func MannKendall(xs []float64, alpha float64) MannKendallResult {
 		}
 	}
 	return res
+}
+
+// mannKendallSV returns the Mann-Kendall S statistic and its tie-corrected
+// variance.
+func mannKendallSV(xs []float64) (s, v float64) {
+	nf := float64(len(xs))
+	v = nf * (nf - 1) * (2*nf + 5)
+	// A pair with a NaN adds 0 to S and a NaN ties with nothing, so only
+	// the other values are counted, in order; the base variance keeps the
+	// full n.
+	if hasNaN(xs) {
+		ys := make([]float64, 0, len(xs))
+		for _, x := range xs {
+			if x == x {
+				ys = append(ys, x)
+			}
+		}
+		xs = ys
+	}
+	n := len(xs)
+	sorted, inversions := sortCountInversions(xs)
+	// Of the n(n-1)/2 pairs, tied ones add 0 to S, inverted ones -1 and
+	// the rest +1.
+	pairs := int64(n) * int64(n-1) / 2
+	var tied int64
+	for i := 0; i < n; {
+		j := i + 1
+		for j < n && sorted[j] == sorted[i] {
+			j++
+		}
+		c := int64(j - i)
+		tied += c * (c - 1) / 2
+		v -= tieTerm(int(c))
+		i = j
+	}
+	return float64(pairs - tied - 2*inversions), v / 18
+}
+
+// tieTerm is one tie group's reduction of the Mann-Kendall variance
+// (before the division by 18).
+func tieTerm(c int) float64 {
+	if c < 2 {
+		return 0
+	}
+	cf := float64(c)
+	return cf * (cf - 1) * (2*cf + 5)
+}
+
+// sortCountInversions returns a sorted copy of xs and the number of pairs
+// i < j with xs[i] > xs[j], by bottom-up merge sort. Equal values are not
+// inversions: the merge takes from the left run on ties.
+func sortCountInversions(xs []float64) ([]float64, int64) {
+	n := len(xs)
+	a := make([]float64, 2*n)
+	src, dst := a[:n], a[n:]
+	copy(src, xs)
+	var inv int64
+	for width := 1; width < n; width *= 2 {
+		for lo := 0; lo < n; lo += 2 * width {
+			mid := min(lo+width, n)
+			hi := min(lo+2*width, n)
+			i, j, k := lo, mid, lo
+			for i < mid && j < hi {
+				if src[j] < src[i] {
+					dst[k] = src[j]
+					inv += int64(mid - i)
+					j++
+				} else {
+					dst[k] = src[i]
+					i++
+				}
+				k++
+			}
+			k += copy(dst[k:], src[i:mid])
+			copy(dst[k:], src[j:hi])
+		}
+		src, dst = dst, src
+	}
+	return src, inv
 }

@@ -40,3 +40,15 @@ func BenchmarkDetectPeriod1k(b *testing.B) {
 		DetectPeriod(ys, 4, 400, 3)
 	}
 }
+
+// BenchmarkDetectPeriod540 is period detection over a 540-point window at
+// the seasonality detector's default bounds (lags 4..400, strength 3).
+func BenchmarkDetectPeriod540(b *testing.B) {
+	ys := benchSeasonal(540, 60)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		sinkPeriod, _ = DetectPeriod(ys, 4, 400, 3)
+	}
+}
+
+var sinkPeriod int
