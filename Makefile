@@ -2,7 +2,7 @@
 GO ?= go
 FUZZTIME ?= 10s
 # Packages that define Fuzz* targets (go can only fuzz one package at a time).
-FUZZ_PKGS = . ./internal/stacktrace ./internal/wal ./internal/pprofparse ./internal/evalharness/replay ./internal/timeseries ./internal/popshift ./internal/controlplane ./internal/stats
+FUZZ_PKGS = . ./internal/stacktrace ./internal/wal ./internal/pprofparse ./internal/evalharness/replay ./internal/timeseries ./internal/popshift ./internal/controlplane ./internal/stats ./internal/core
 
 .PHONY: build test vet race lint fuzz-smoke bench-obs bench bench-gate bench-baseline eval eval-gate eval-baseline eval-replay eval-replay-baseline crashtest server-smoke profdiff-demo check
 

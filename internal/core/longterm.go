@@ -5,7 +5,6 @@ import (
 
 	"fbdetect/internal/changepoint"
 	"fbdetect/internal/stats"
-	"fbdetect/internal/stl"
 	"fbdetect/internal/timeseries"
 	"fbdetect/internal/tsdb"
 )
@@ -50,15 +49,9 @@ func detectLongTermWith(cfg Config, metric tsdb.MetricID, ws timeseries.Windows,
 	}
 
 	// Step 1: seasonality decomposition. Non-seasonal series use a Loess
-	// smooth as the trend (precomputed alongside the decomposition).
+	// smooth as the trend, which computeSTL precomputes whenever the
+	// long-term path is on and the window holds longTermMinPoints.
 	trend := s.trend()
-	if trend == nil {
-		span := full.Len() / 8
-		if span < 5 {
-			span = 5
-		}
-		trend = stl.Loess(full.Values, span)
-	}
 
 	// Step 2: regression detection on the trend. Baseline is the larger
 	// of (start of analysis window, historic window); current is the

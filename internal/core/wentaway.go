@@ -12,6 +12,9 @@ type WentAwayVerdict struct {
 	Keep bool
 	// Term-level outcomes of the paper's predicate:
 	// NewPattern OR (SignificantRegression AND LastingTrend AND NOT GoneAway).
+	// CheckWentAway evaluates the terms in the order NewPattern, GoneAway,
+	// SignificantRegression, LastingTrend and stops at the first one that
+	// decides Keep; the terms after it are reported false.
 	NewPattern            bool
 	SignificantRegression bool
 	LastingTrend          bool
@@ -22,6 +25,14 @@ type WentAwayVerdict struct {
 // regression candidate. The post-regression window is the analysis window
 // after the change point joined with the extended window; history is the
 // historic window.
+//
+// The predicate is evaluated lazily, cheapest deciding term first:
+// NewPattern is the only term that keeps a candidate on its own, so it runs
+// first; GoneAway (a tail mean) and SignificantRegression (a letter check
+// and three percentiles) can each drop the candidate cheaply; LastingTrend
+// (Mann-Kendall and Theil-Sen) runs only for a candidate that passed all of
+// those. Every term is a pure function of the windows, so Keep equals the
+// eagerly evaluated formula on every input.
 func CheckWentAway(cfg WentAwayConfig, r *Regression) WentAwayVerdict {
 	cfg = cfg.withDefaults()
 	hist := r.Windows.Historic.Values
@@ -29,37 +40,56 @@ func CheckWentAway(cfg WentAwayConfig, r *Regression) WentAwayVerdict {
 	if r.ChangePoint <= 0 || r.ChangePoint >= len(analysis) || len(hist) == 0 {
 		return WentAwayVerdict{}
 	}
-	post := append([]float64{}, analysis[r.ChangePoint:]...)
+	var extended []float64
 	if r.Windows.Extended != nil {
-		post = append(post, r.Windows.Extended.Values...)
+		extended = r.Windows.Extended.Values
 	}
-	if len(post) == 0 {
-		return WentAwayVerdict{}
-	}
+	post := make([]float64, 0, len(analysis)-r.ChangePoint+len(extended))
+	post = append(post, analysis[r.ChangePoint:]...)
+	post = append(post, extended...)
 
-	// Build one SAX encoder spanning the combined value range so letters
-	// are comparable across windows.
-	combined := make([]float64, 0, len(hist)+len(analysis)+len(post))
-	combined = append(combined, hist...)
-	combined = append(combined, analysis...)
-	combined = append(combined, post...)
-	enc, err := sax.NewEncoder(cfg.SAXBuckets, cfg.SAXValidityPct,
-		stats.Min(combined), stats.Max(combined)+1e-12)
+	// Build one SAX encoder spanning the value range of all windows so
+	// letters are comparable across them. The post window repeats values
+	// of the analysis and extended windows, so it adds nothing to the range.
+	lo, hi := extendRange(hist[0], hist[0], hist[1:])
+	lo, hi = extendRange(lo, hi, analysis)
+	lo, hi = extendRange(lo, hi, extended)
+	enc, err := sax.NewEncoder(cfg.SAXBuckets, cfg.SAXValidityPct, lo, hi+1e-12)
 	if err != nil {
 		return WentAwayVerdict{}
 	}
 	histWord := enc.Encode(hist)
-	postWord := enc.Encode(post)
-	postAnalysisWord := enc.Encode(analysis[r.ChangePoint:])
 
-	v := WentAwayVerdict{}
-	v.NewPattern = newPattern(cfg, enc, histWord, postWord, post)
-	v.SignificantRegression = significantRegression(histWord, postAnalysisWord, hist, post)
+	var v WentAwayVerdict
+	if v.NewPattern = newPattern(cfg, enc, histWord, enc.Encode(post), post); v.NewPattern {
+		v.Keep = true
+		return v
+	}
+	if v.GoneAway = regressionGoneAway(cfg, post, r); v.GoneAway {
+		return v
+	}
+	postAnalysisWord := enc.Encode(analysis[r.ChangePoint:])
+	if v.SignificantRegression = significantRegression(histWord, postAnalysisWord, hist, post); !v.SignificantRegression {
+		return v
+	}
 	v.LastingTrend = lastingTrend(cfg, analysis, post, r.ChangePoint)
-	v.GoneAway = regressionGoneAway(cfg, post, r)
-	v.Keep = v.NewPattern ||
-		(v.SignificantRegression && v.LastingTrend && !v.GoneAway)
+	v.Keep = v.LastingTrend
 	return v
+}
+
+// extendRange folds xs into the running [lo, hi] with the comparisons of
+// stats.Min and stats.Max, so the result matches those over the
+// concatenation of every folded slice.
+func extendRange(lo, hi float64, xs []float64) (float64, float64) {
+	for _, x := range xs {
+		if x < lo {
+			lo = x
+		}
+		if x > hi {
+			hi = x
+		}
+	}
+	return lo, hi
 }
 
 // newPattern reports whether the post-regression window forms a pattern

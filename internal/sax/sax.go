@@ -134,8 +134,8 @@ func (e *Encoder) LetterLowerBound(i int) float64 {
 
 // Word is an encoded series: one letter per point plus per-letter counts.
 type Word struct {
-	Letters []int       // bucket index per point
-	Counts  map[int]int // occurrences per letter
+	Letters []int // bucket index per point
+	Counts  []int // occurrences per letter, indexed by letter (len = buckets)
 	n       int
 	enc     *Encoder
 }
@@ -143,7 +143,7 @@ type Word struct {
 // Encode discretizes xs into a Word.
 func (e *Encoder) Encode(xs []float64) Word {
 	letters := make([]int, len(xs))
-	counts := make(map[int]int, e.buckets)
+	counts := make([]int, e.buckets)
 	for i, v := range xs {
 		l := e.Letter(v)
 		letters[i] = l
@@ -153,9 +153,10 @@ func (e *Encoder) Encode(xs []float64) Word {
 }
 
 // Valid reports whether letter l is valid in the word: it holds at least
-// the encoder's validity percentage of the points.
+// the encoder's validity percentage of the points. A letter outside
+// [0, buckets) is never valid.
 func (w Word) Valid(l int) bool {
-	if w.n == 0 {
+	if w.n == 0 || l < 0 || l >= len(w.Counts) {
 		return false
 	}
 	return float64(w.Counts[l])/float64(w.n)*100 >= w.enc.validityPct
@@ -195,13 +196,12 @@ func (w Word) MinValidLetter() int {
 // MaxLetter returns the largest letter present (valid or not), or -1 for an
 // empty word.
 func (w Word) MaxLetter() int {
-	max := -1
-	for l := range w.Counts {
-		if l > max {
-			max = l
+	for l := len(w.Counts) - 1; l >= 0; l-- {
+		if w.Counts[l] > 0 {
+			return l
 		}
 	}
-	return max
+	return -1
 }
 
 // InvalidFraction returns the fraction of points whose letter is invalid in

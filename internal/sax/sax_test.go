@@ -183,3 +183,90 @@ func TestStringRendering(t *testing.T) {
 		t.Errorf("String = %q", w.String())
 	}
 }
+
+func TestMaxLetter(t *testing.T) {
+	enc, _ := NewEncoder(5, 3, 0, 10)
+	for _, c := range []struct {
+		xs   []float64
+		want int
+	}{
+		{[]float64{0.5}, 0},
+		{[]float64{0.5, 4.5, 2.5}, 2},
+		{[]float64{9.9, 0.1}, 4},
+		{[]float64{100, -100}, 4}, // clamped into the last bucket
+	} {
+		if got := enc.Encode(c.xs).MaxLetter(); got != c.want {
+			t.Errorf("MaxLetter(%v) = %d, want %d", c.xs, got, c.want)
+		}
+	}
+	// Property: the largest letter of the word, whatever its validity.
+	f := func(xs []float64) bool {
+		w := enc.Encode(xs)
+		want := -1
+		for _, l := range w.Letters {
+			if l > want {
+				want = l
+			}
+		}
+		return w.MaxLetter() == want
+	}
+	if err := quick.Check(f, nil); err != nil {
+		t.Error(err)
+	}
+}
+
+func TestValidOutOfRangeLetter(t *testing.T) {
+	// At 0% validity every in-range letter is valid, even an empty one; a
+	// letter outside [0, buckets) still is not.
+	enc, _ := NewEncoder(4, 0, 0, 4)
+	w := enc.Encode([]float64{0.5, 1.5})
+	if !w.Valid(3) {
+		t.Error("in-range letter should be valid at 0% validity")
+	}
+	for _, l := range []int{-1, 4, 100} {
+		if w.Valid(l) {
+			t.Errorf("out-of-range letter %d reported valid", l)
+		}
+	}
+}
+
+func TestInvalidFractionSameEncoder(t *testing.T) {
+	// Words from one encoder: the fraction matches a direct count of
+	// points whose letter holds under the validity percentage of ref.
+	rng := rand.New(rand.NewSource(2))
+	hist := make([]float64, 300)
+	for i := range hist {
+		hist[i] = rng.NormFloat64()
+	}
+	post := make([]float64, 120)
+	for i := range post {
+		post[i] = rng.NormFloat64() + 1.5
+	}
+	enc, err := NewEncoderForData(append(append([]float64{}, hist...), post...))
+	if err != nil {
+		t.Fatal(err)
+	}
+	hw, pw := enc.Encode(hist), enc.Encode(post)
+	if len(hw.Counts) != enc.Buckets() {
+		t.Fatalf("len(Counts) = %d, want %d", len(hw.Counts), enc.Buckets())
+	}
+	invalid := 0
+	for _, v := range post {
+		n := 0
+		for _, h := range hist {
+			if enc.Letter(h) == enc.Letter(v) {
+				n++
+			}
+		}
+		if float64(n)/float64(len(hist))*100 < DefaultValidityPct {
+			invalid++
+		}
+	}
+	want := float64(invalid) / float64(len(post))
+	if got := pw.InvalidFraction(hw); got != want {
+		t.Errorf("InvalidFraction = %v, want %v", got, want)
+	}
+	if want == 0 || want == 1 {
+		t.Errorf("shifted post should be partly invalid, got fraction %v", want)
+	}
+}
