@@ -2,7 +2,7 @@
 GO ?= go
 FUZZTIME ?= 10s
 # Packages that define Fuzz* targets (go can only fuzz one package at a time).
-FUZZ_PKGS = . ./internal/stacktrace ./internal/wal ./internal/pprofparse ./internal/evalharness/replay ./internal/timeseries ./internal/popshift ./internal/controlplane ./internal/stats ./internal/core
+FUZZ_PKGS = . ./internal/stacktrace ./internal/wal ./internal/pprofparse ./internal/evalharness/replay ./internal/timeseries ./internal/popshift ./internal/controlplane ./internal/stats ./internal/core ./internal/stl
 
 .PHONY: build test vet race lint fuzz-smoke bench-obs bench bench-gate bench-baseline eval eval-gate eval-baseline eval-replay eval-replay-baseline crashtest server-smoke profdiff-demo check
 
@@ -20,9 +20,10 @@ vet:
 # written for concurrent use; keep them honest under the race detector,
 # along with the pipeline and workers that call them. The tsdb is included
 # for its zero-copy QueryViewStamped snapshots, which concurrent appends must
-# never disturb.
+# never disturb. The stl package's Loess row tables are shared package-wide
+# across concurrent scans.
 race:
-	$(GO) test -race ./internal/obs/... ./internal/distributed/... ./internal/core/... ./internal/resilience/... ./internal/tsdb/... ./internal/wal/... ./internal/evalharness/... ./internal/controlplane/...
+	$(GO) test -race ./internal/obs/... ./internal/distributed/... ./internal/core/... ./internal/resilience/... ./internal/tsdb/... ./internal/wal/... ./internal/evalharness/... ./internal/controlplane/... ./internal/stl/...
 
 # Static analysis. The tools are not vendored; when missing locally the
 # target degrades to a notice (CI installs and enforces them).

@@ -488,7 +488,12 @@ func (c *Coordinator) scanWorker(ctx context.Context, url, service string, scanT
 
 // postScan issues one /scan POST with the per-attempt deadline. Non-200
 // statuses outside {5xx, 429} come back as Permanent: retrying a 404
-// only burns budget.
+// only burns budget. A retryable status carrying Retry-After comes back
+// with that hint attached, which the retry loop waits in place of its
+// backoff (capped by the policy's MaxDelay) before the next attempt, on
+// the same worker or its replica. No /scan handler in this repository sends
+// the header; it comes from whatever fronts a worker, such as a proxy or
+// load balancer that sheds or drains.
 func (c *Coordinator) postScan(ctx context.Context, url, service string, scanTime time.Time) (*ScanResponse, error) {
 	body, err := json.Marshal(ScanRequest{Service: service, ScanTime: scanTime})
 	if err != nil {
@@ -515,6 +520,9 @@ func (c *Coordinator) postScan(ctx context.Context, url, service string, scanTim
 		serr := fmt.Errorf("distributed: worker %s: %s: %s", target, resp.Status, bytes.TrimSpace(msg))
 		if resp.StatusCode < 500 && resp.StatusCode != http.StatusTooManyRequests {
 			return nil, resilience.Permanent(serr)
+		}
+		if d, ok := resilience.ParseRetryAfter(resp.Header); ok {
+			serr = resilience.RetryAfter(serr, d)
 		}
 		return nil, serr
 	}

@@ -2,6 +2,7 @@ package distributed
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
 	"hash/fnv"
 	"net/http"
@@ -149,6 +150,47 @@ func TestScanAllRetriesTransientFaults(t *testing.T) {
 	}
 	if got := metricValue(t, m, MetricCoordFailures); got != 0 {
 		t.Errorf("%s = %v, want 0", MetricCoordFailures, got)
+	}
+}
+
+// TestScanHonorsWorkerRetryAfter: a worker that sheds load with 503 and
+// 429 plus a Retry-After hint is retried after the hinted delay — capped
+// by the policy's MaxDelay — not after the policy's own short backoff.
+func TestScanHonorsWorkerRetryAfter(t *testing.T) {
+	var calls atomic.Int32
+	srv := httptest.NewServer(http.HandlerFunc(func(rw http.ResponseWriter, req *http.Request) {
+		switch calls.Add(1) {
+		case 1:
+			rw.Header().Set("Retry-After", "7")
+			http.Error(rw, "draining", http.StatusServiceUnavailable)
+		case 2:
+			rw.Header().Set("Retry-After", "600")
+			http.Error(rw, "shedding", http.StatusTooManyRequests)
+		default:
+			json.NewEncoder(rw).Encode(ScanResponse{Worker: "w1"})
+		}
+	}))
+	defer srv.Close()
+
+	clock := resilience.NewFakeClock(t0).AutoAdvance()
+	policy := resilience.Policy{MaxAttempts: 4, BaseDelay: 50 * time.Millisecond,
+		MaxDelay: time.Minute, Multiplier: 2, Jitter: 0}
+	coord, err := NewCoordinatorWithOptions([]string{srv.URL}, srv.Client(), Options{
+		Retry: policy, Clock: clock, Seed: 7,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := coord.Scan("svc-r", t0)
+	if err != nil {
+		t.Fatalf("Scan = %v, want success on the third attempt", err)
+	}
+	if resp.Worker != "w1" || calls.Load() != 3 {
+		t.Fatalf("worker %q after %d requests, want w1 after 3", resp.Worker, calls.Load())
+	}
+	// 7s as hinted, then the 600s hint capped at MaxDelay.
+	if got, want := clock.Slept(), 7*time.Second+time.Minute; got != want {
+		t.Fatalf("coordinator slept %v, want %v", got, want)
 	}
 }
 

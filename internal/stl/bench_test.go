@@ -1,6 +1,7 @@
 package stl
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -23,11 +24,51 @@ func BenchmarkLoess1k(b *testing.B) {
 	}
 }
 
+// BenchmarkLoess540 smooths a 9h/540-point window at the two spans the
+// pipeline uses on it: n/4 = 135 (DetectPeriod's detrending) and n/8 = 67
+// (the long-term path's fallback trend).
+func BenchmarkLoess540(b *testing.B) {
+	ys := benchSeasonal(540, 120)
+	for _, span := range []int{135, 67} {
+		b.Run(fmt.Sprintf("span%d", span), func(b *testing.B) {
+			dst := make([]float64, len(ys))
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				LoessInto(dst, ys, span)
+			}
+		})
+	}
+}
+
 func BenchmarkDecompose1k(b *testing.B) {
 	ys := benchSeasonal(1000, 96)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		if _, err := Decompose(ys, 96, Options{}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkLoessOutsideMemo smooths at span 720 (DetectPeriod's n/4 on a
+// 2880-point window), whose row table is over the memo's per-span cap, so
+// every call builds its rows per call.
+func BenchmarkLoessOutsideMemo(b *testing.B) {
+	ys := benchSeasonal(2880, 120)
+	dst := make([]float64, len(ys))
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		LoessInto(dst, ys, 720)
+	}
+}
+
+// BenchmarkDecompose540 is the seasonality detector's decomposition of a
+// 540-point window at period 120 (trend span 231).
+func BenchmarkDecompose540(b *testing.B) {
+	ys := benchSeasonal(540, 120)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := Decompose(ys, 120, Options{}); err != nil {
 			b.Fatal(err)
 		}
 	}

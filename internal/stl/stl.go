@@ -82,22 +82,6 @@ func Decompose(ys []float64, period int, opts Options) (*Decomposition, error) {
 	maTmp := make([]float64, n)
 	maPrefix := make([]float64, n+1)
 
-	// Loess fits are memoized per effective span: subseries lengths differ
-	// by at most one point across phases, so the whole decomposition needs
-	// at most three distinct weight vectors (two seasonal, one trend).
-	fits := map[int]*loessFit{}
-	fitFor := func(span, n int) *loessFit {
-		if span > n {
-			span = n
-		}
-		if f, ok := fits[span]; ok {
-			return f
-		}
-		f := newLoessFit(span)
-		fits[span] = f
-		return f
-	}
-
 	for iter := 0; iter < opts.InnerIterations; iter++ {
 		// Step 1: detrend.
 		for i := range ys {
@@ -111,11 +95,7 @@ func Decompose(ys []float64, period int, opts Options) (*Decomposition, error) {
 				sub[m] = detrended[i]
 				m++
 			}
-			if m < 2 || opts.SeasonalSpan < 2 {
-				copy(smoothed[:m], sub[:m])
-			} else {
-				fitFor(opts.SeasonalSpan, m).into(smoothed[:m], sub[:m])
-			}
+			LoessInto(smoothed[:m], sub[:m], opts.SeasonalSpan)
 			for k := 0; k < m; k++ {
 				seasonal[phase+k*period] = smoothed[k]
 			}
@@ -131,11 +111,7 @@ func Decompose(ys []float64, period int, opts Options) (*Decomposition, error) {
 		for i := range ys {
 			detrended[i] = ys[i] - seasonal[i]
 		}
-		if opts.TrendSpan < 2 {
-			copy(trend, detrended)
-		} else {
-			fitFor(opts.TrendSpan, n).into(trend, detrended)
-		}
+		LoessInto(trend, detrended, opts.TrendSpan)
 	}
 
 	residual := make([]float64, n)
@@ -159,10 +135,10 @@ func DetectPeriod(ys []float64, minLag, maxLag int, strength float64) (int, bool
 	if span < 8 {
 		span = 8
 	}
-	trend := Loess(ys, span)
-	detrended := make([]float64, len(ys))
-	for i := range ys {
-		detrended[i] = ys[i] - trend[i]
+	// Detrend in place in the Loess output: one n-slice per call.
+	detrended := Loess(ys, span)
+	for i, y := range ys {
+		detrended[i] = y - detrended[i]
 	}
 	lag, corr := stats.DominantSeasonLag(detrended, minLag, maxLag)
 	if lag == 0 {
